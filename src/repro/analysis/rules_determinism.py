@@ -6,14 +6,20 @@ re-executes recorded traces, and the scalar/vector equivalence tests
 compare exact counter values.  Any unseeded RNG or wall-clock read
 inside a compute module breaks all three silently.  This rule flags, in
 the compute packages only (``core``, ``gpusim``, ``compression``,
-``analytics``, ``relational``, ``baselines``, ``perf``, ``cluster``):
+``analytics``, ``relational``, ``baselines``, ``perf``, ``cluster``,
+``data``):
 
 * module-level ``random.*`` draws (``random.Random(seed)`` instances
   are fine — the seed is explicit);
 * wall-clock reads (``time.time``/``monotonic``/``perf_counter`` and
   friends, ``datetime.now``/``utcnow``/``today``);
 * unseeded numpy entropy (``np.random.<draw>``, or ``default_rng()``
-  with no seed argument).
+  with no seed argument);
+* builtin ``hash()`` values: Python salts ``str``/``bytes`` hashes per
+  process, so a seed or key derived from one differs between processes
+  (use ``zlib.crc32`` or ``hashlib``).  Two uses stay legal because no
+  value escapes the process: a bare ``hash(x)`` statement (a hashability
+  probe) and ``hash`` inside a ``__hash__`` method.
 
 The benchmarking (``bench``) and serving (``serve``) layers time things
 on purpose and are out of scope.
@@ -37,6 +43,7 @@ _COMPUTE_DIRS = (
     "repro/baselines",
     "repro/perf",
     "repro/cluster",
+    "repro/data",
 )
 
 _RANDOM_DRAWS = frozenset({
@@ -89,7 +96,31 @@ def _classify(call: ast.Call) -> Optional[str]:
     return None
 
 
-@rule(RULE, "no unseeded RNG or wall-clock reads inside compute modules")
+_HASH_MESSAGE = ("builtin hash() value in a compute path; str hashes are salted per "
+                 "process, so derive seeds and keys with zlib.crc32 or hashlib")
+
+
+def _salted_hash_calls(tree: ast.AST) -> List[ast.Call]:
+    """``hash(...)`` calls whose value escapes, outside ``__hash__`` bodies."""
+    probes = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+    }
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__hash__":
+            exempt.update(id(inner) for inner in ast.walk(node))
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hash"
+        and id(node) not in probes
+        and id(node) not in exempt
+    ]
+
+
+@rule(RULE, "no unseeded RNG, wall-clock reads or salted hash() inside compute modules")
 def check(project: Project) -> List[Finding]:
     findings: List[Finding] = []
     for source in project:
@@ -100,4 +131,6 @@ def check(project: Project) -> List[Finding]:
                 message = _classify(node)
                 if message is not None:
                     findings.append(source.finding(RULE, node, message))
+        for node in _salted_hash_calls(source.tree):
+            findings.append(source.finding(RULE, node, _HASH_MESSAGE))
     return findings

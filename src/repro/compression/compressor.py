@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.analysis.lockcheck import make_lock
 from repro.compression.dag import DagStatistics, GrammarDAG
 from repro.compression.dictionary import Dictionary
-from repro.compression.grammar import Grammar, Rule, is_rule_ref, rule_ref_id
+from repro.compression.grammar import Grammar, is_rule_ref, rule_ref_id
 from repro.compression.sequitur import SequiturEncoder
 from repro.data.corpus import Corpus, Document
 
@@ -82,17 +82,13 @@ class _OnlineGrammarBuilder:
         for word in self._words:
             dictionary.encode_word(word)
         splitter_ids = dictionary.allocate_splitters(max(0, self._num_documents - 1))
-        num_words = len(self._words)
-        raw = self._encoder.snapshot()
-        rules: List[Rule] = []
-        for rule in raw:
-            symbols: List[int] = []
-            for symbol in rule.symbols:
-                if not is_rule_ref(symbol) and symbol >= _SPLITTER_BASE:
-                    symbol = num_words + (symbol - _SPLITTER_BASE)
-                symbols.append(symbol)
-            rules.append(Rule(rule_id=rule.rule_id, symbols=symbols))
-        return dictionary, Grammar(rules), splitter_ids
+        # Splitters occur once each, in the root body; relabel them while
+        # the encoder builds its single grammar.
+        canonical = {
+            _SPLITTER_BASE + index: splitter for index, splitter in enumerate(splitter_ids)
+        }
+        grammar = self._encoder.snapshot(terminal_map=canonical)
+        return dictionary, grammar, splitter_ids
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class GrammarDAG:
         self.num_out_edges: List[int] = [len(self.children[r]) for r in range(num_rules)]
         self._layers: List[List[int]] = self._compute_layers()
         self._weights: List[int] = self._compute_weights()
-        self._expansion_lengths = grammar.expansion_lengths()
+        self._expansion_lengths: List[int] = self._compute_expansion_lengths()
 
     # -- structural helpers --------------------------------------------------------
     def _compute_layers(self) -> List[List[int]]:
@@ -88,6 +88,22 @@ class GrammarDAG:
                 for child, count in self.children[rule_id]:
                     weights[child] += weights[rule_id] * count
         return weights
+
+    def _compute_expansion_lengths(self) -> List[int]:
+        """Terminals each rule expands to, folded leaves-first over the layers.
+
+        Reuses the Kahn layers, so one topological pass per grammar serves
+        layers, weights and lengths alike.
+        """
+        lengths = [0] * len(self.grammar)
+        for layer in reversed(self._layers):
+            for rule_id in layer:
+                # Each reference swaps one body symbol for its child's expansion.
+                total = len(self.grammar.rules[rule_id])
+                for child, count in self.children[rule_id]:
+                    total += count * (lengths[child] - 1)
+                lengths[rule_id] = total
+        return lengths
 
     # -- public accessors --------------------------------------------------------------
     @property

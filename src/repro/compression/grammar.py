@@ -151,24 +151,29 @@ class Grammar:
         return lengths
 
     def _bottom_up_order(self) -> List[int]:
-        """Rule ids ordered so every rule appears after all rules it references."""
+        """Rule ids ordered so every rule appears after all rules it references.
+
+        Each DFS frame carries an iterator over its own child list, so
+        every rule body is scanned once and the order costs time linear
+        in the grammar's size.
+        """
         order: List[int] = []
         state = [0] * len(self.rules)  # 0 unvisited, 1 in progress, 2 done
         for start in range(len(self.rules)):
             if state[start] == 2:
                 continue
-            stack: List[Tuple[int, int]] = [(start, 0)]
             state[start] = 1
+            stack: List[Tuple[int, Iterator[int]]] = [
+                (start, iter(self.rules[start].subrule_ids()))
+            ]
             while stack:
-                rule_id, child_index = stack[-1]
-                children = self.rules[rule_id].subrule_ids()
-                if child_index < len(children):
-                    stack[-1] = (rule_id, child_index + 1)
-                    child = children[child_index]
+                rule_id, children = stack[-1]
+                for child in children:
                     if state[child] == 0:
                         state[child] = 1
-                        stack.append((child, 0))
-                    elif state[child] == 1:
+                        stack.append((child, iter(self.rules[child].subrule_ids())))
+                        break
+                    if state[child] == 1:
                         raise ValueError("grammar contains a cycle")
                 else:
                     stack.pop()

@@ -18,23 +18,29 @@ rest of the library (rule 0 = root).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.compression.grammar import Grammar, Rule, make_rule_ref
 
 __all__ = ["SequiturEncoder"]
 
+#: A digram-index key component: a terminal's token id (``>= 0``), a rule
+#: reference's ``make_rule_ref(rule number)`` (``< 0``), or ``None`` for a
+#: guard.  Equal keys mean equal symbols, exactly as Sequitur requires.
+SymbolKey = Optional[int]
+
 
 class _SequiturRule:
     """Internal mutable rule: a circular doubly-linked list with a guard node."""
 
-    __slots__ = ("encoder", "number", "reference_count", "guard")
+    __slots__ = ("number", "key", "reference_count", "guard")
 
     def __init__(self, encoder: "SequiturEncoder") -> None:
-        self.encoder = encoder
         self.number = encoder._next_rule_number()
+        #: Key of every symbol that references this rule.
+        self.key = make_rule_ref(self.number)
         self.reference_count = 0
-        self.guard = _SequiturSymbol(encoder, rule=self, is_guard=True)
+        self.guard = _SequiturSymbol(encoder, None, rule=self, is_guard=True)
         self.guard.next = self.guard
         self.guard.prev = self.guard
 
@@ -44,47 +50,39 @@ class _SequiturRule:
     def last(self) -> "_SequiturSymbol":
         return self.guard.prev
 
-    def append_value(self, terminal: Optional[int] = None, rule: Optional["_SequiturRule"] = None) -> None:
-        """Append a fresh symbol to the rule body and run the digram check."""
-        symbol = _SequiturSymbol(self.encoder, terminal=terminal, rule=rule)
-        self.last().insert_after(symbol)
-        self.last().prev.check()
-
 
 class _SequiturSymbol:
-    """A node in a rule body: either a terminal or a reference to a rule."""
+    """A node in a rule body: a terminal, a reference to a rule, or a guard.
 
-    __slots__ = ("encoder", "next", "prev", "terminal", "rule", "is_guard")
+    ``key`` is fixed when the symbol is created, so digram keys are plain
+    pairs of ints.  ``rule`` is the referenced rule for a non-terminal,
+    the owning rule for a guard and ``None`` for a terminal.
+    """
+
+    __slots__ = ("encoder", "next", "prev", "key", "rule", "is_guard")
 
     def __init__(
         self,
         encoder: "SequiturEncoder",
-        terminal: Optional[int] = None,
+        key: SymbolKey,
         rule: Optional[_SequiturRule] = None,
         is_guard: bool = False,
     ) -> None:
         self.encoder = encoder
         self.next: Optional[_SequiturSymbol] = None
         self.prev: Optional[_SequiturSymbol] = None
-        self.terminal = terminal
+        self.key = key
         self.rule = rule
         self.is_guard = is_guard
         if rule is not None and not is_guard:
             rule.reference_count += 1
 
-    # -- value / digram helpers ------------------------------------------------
     @property
     def is_nonterminal(self) -> bool:
         return self.rule is not None and not self.is_guard
 
-    def value(self) -> Hashable:
-        """Hashable symbol value used as a digram-index component."""
-        if self.is_nonterminal:
-            return ("R", self.rule.number)
-        return self.terminal
-
-    def digram_key(self) -> Tuple[Hashable, Hashable]:
-        return (self.value(), self.next.value())
+    def digram_key(self) -> Tuple[SymbolKey, SymbolKey]:
+        return (self.key, self.next.key)
 
     # -- linked-list operations ---------------------------------------------------
     def join(self, right: "_SequiturSymbol") -> None:
@@ -93,24 +91,26 @@ class _SequiturSymbol:
             self.delete_digram()
             # Triple handling (e.g. "a a a"): re-register the digrams that
             # the unlink may have invalidated, as in the reference code.
+            # Guards are excluded explicitly: two guards share the key None.
+            digrams = self.encoder._digrams
+            neighbour = right.prev
+            after = right.next
             if (
-                right.prev is not None
-                and right.next is not None
+                neighbour is not None
+                and after is not None
                 and not right.is_guard
-                and not right.next.is_guard
-                and right.value() == right.prev.value()
-                and right.value() == right.next.value()
+                and not after.is_guard
+                and right.key == neighbour.key == after.key
             ):
-                self.encoder._digrams[(right.value(), right.next.value())] = right
+                digrams[(right.key, right.key)] = right
+            neighbour = self.prev
             if (
-                self.prev is not None
-                and self.next is not None
+                neighbour is not None
                 and not self.is_guard
-                and not self.prev.is_guard
-                and self.value() == self.next.value()
-                and self.value() == self.prev.value()
+                and not neighbour.is_guard
+                and self.key == self.next.key == neighbour.key
             ):
-                self.encoder._digrams[(self.prev.value(), self.value())] = self.prev
+                digrams[(self.key, self.key)] = neighbour
         self.next = right
         right.prev = self
 
@@ -123,16 +123,18 @@ class _SequiturSymbol:
         self.prev.join(self.next)
         if not self.is_guard:
             self.delete_digram()
-            if self.is_nonterminal:
+            if self.rule is not None:
                 self.rule.reference_count -= 1
 
     def delete_digram(self) -> None:
         """Remove the digram starting at this symbol from the index."""
-        if self.is_guard or self.next is None or self.next.is_guard:
+        right = self.next
+        if self.is_guard or right is None or right.is_guard:
             return
-        key = self.digram_key()
-        if self.encoder._digrams.get(key) is self:
-            del self.encoder._digrams[key]
+        digrams = self.encoder._digrams
+        key = (self.key, right.key)
+        if digrams.get(key) is self:
+            del digrams[key]
 
     # -- the Sequitur invariants ---------------------------------------------------
     def check(self) -> bool:
@@ -144,12 +146,14 @@ class _SequiturSymbol:
         :meth:`substitute` relies on to decide whether the follow-up
         digram still needs checking.
         """
-        if self.is_guard or self.next is None or self.next.is_guard:
+        right = self.next
+        if self.is_guard or right is None or right.is_guard:
             return False
-        key = self.digram_key()
-        match = self.encoder._digrams.get(key)
+        digrams = self.encoder._digrams
+        key = (self.key, right.key)
+        match = digrams.get(key)
         if match is None:
-            self.encoder._digrams[key] = self
+            digrams[key] = self
             return False
         if match is not self and match.next is not self:
             self._process_match(match)
@@ -157,36 +161,41 @@ class _SequiturSymbol:
 
     def _process_match(self, match: "_SequiturSymbol") -> None:
         """Replace both occurrences of a repeated digram by a rule."""
+        encoder = self.encoder
         if match.prev.is_guard and match.next.next.is_guard:
             # The earlier occurrence is exactly an existing rule's body.
             rule = match.prev.rule
             self.substitute(rule)
         else:
-            rule = _SequiturRule(self.encoder)
-            rule.last().insert_after(match._copy_for_rule())
-            rule.last().insert_after(match.next._copy_for_rule())
+            rule = _SequiturRule(encoder)
+            # Copies of the digram's two symbols become the new body; linking
+            # them into an empty rule touches no digram.
+            first = _SequiturSymbol(encoder, match.key, match.rule)
+            second = _SequiturSymbol(encoder, match.next.key, match.next.rule)
+            guard = rule.guard
+            guard.next = first
+            first.prev = guard
+            first.next = second
+            second.prev = first
+            second.next = guard
+            guard.prev = second
             match.substitute(rule)
             self.substitute(rule)
             # Register the new rule body's single digram last, as in the
             # reference implementation.
-            self.encoder._digrams[rule.first().digram_key()] = rule.first()
-            self.encoder._rules.append(rule)
+            encoder._digrams[rule.first().digram_key()] = rule.first()
+            encoder._rules[rule.number] = rule
         # Rule utility: inline a sub-rule that is now used only once.
         first = rule.first()
         if first.is_nonterminal and first.rule.reference_count == 1:
             first.expand()
-
-    def _copy_for_rule(self) -> "_SequiturSymbol":
-        if self.is_nonterminal:
-            return _SequiturSymbol(self.encoder, rule=self.rule)
-        return _SequiturSymbol(self.encoder, terminal=self.terminal)
 
     def substitute(self, rule: _SequiturRule) -> None:
         """Replace the digram starting at ``self`` with a reference to ``rule``."""
         prev = self.prev
         prev.next.unlink()
         prev.next.unlink()
-        prev.insert_after(_SequiturSymbol(self.encoder, rule=rule))
+        prev.insert_after(_SequiturSymbol(self.encoder, rule.key, rule))
         if not prev.check():
             prev.next.check()
 
@@ -194,15 +203,16 @@ class _SequiturSymbol:
         """Inline this non-terminal's rule (rule utility enforcement)."""
         left = self.prev
         right = self.next
-        body_first = self.rule.first()
-        body_last = self.rule.last()
         dead_rule = self.rule
+        body_first = dead_rule.first()
+        body_last = dead_rule.last()
         self.delete_digram()
         left.join(body_first)
         body_last.join(right)
-        self.encoder._digrams[(body_last.value(), right.value())] = body_last
+        self.encoder._digrams[(body_last.key, right.key)] = body_last
         dead_rule.reference_count = 0
-        self.encoder._dead_rules.add(dead_rule.number)
+        # Forget inlined rules, so a long-lived stream holds only live ones.
+        del self.encoder._rules[dead_rule.number]
 
 
 class SequiturEncoder:
@@ -216,9 +226,9 @@ class SequiturEncoder:
     """
 
     def __init__(self) -> None:
-        self._digrams: Dict[Tuple[Hashable, Hashable], _SequiturSymbol] = {}
-        self._rules: List[_SequiturRule] = []
-        self._dead_rules: set = set()
+        self._digrams: Dict[Tuple[SymbolKey, SymbolKey], _SequiturSymbol] = {}
+        #: Non-start rules by number, until rule utility inlines them.
+        self._rules: Dict[int, _SequiturRule] = {}
         self._rule_counter = 0
         self._start: Optional[_SequiturRule] = None
 
@@ -256,20 +266,31 @@ class SequiturEncoder:
         """
         if self._start is None:
             raise RuntimeError("call begin() (or encode()) before extend()")
+        guard = self._start.guard
         for token in tokens:
             if token < 0:
                 raise ValueError("input tokens must be non-negative integers")
-            self._start.append_value(terminal=int(token))
+            # Appending at the end of the root body touches no digram but
+            # the one it completes, so link directly and check that one.
+            symbol = _SequiturSymbol(self, int(token))
+            last = guard.prev
+            last.next = symbol
+            symbol.prev = last
+            symbol.next = guard
+            guard.prev = symbol
+            last.check()
 
-    def snapshot(self) -> Grammar:
+    def snapshot(self, terminal_map: Optional[Mapping[int, int]] = None) -> Grammar:
         """An immutable :class:`Grammar` of the stream consumed so far.
 
         Non-destructive: the encoder stays live and :meth:`extend` may
-        keep appending afterwards.
+        keep appending afterwards.  ``terminal_map`` relabels the listed
+        terminals on the way out (terminals not in it keep their id), so a
+        caller renaming a few symbols builds and validates one grammar.
         """
         if self._start is None:
             raise RuntimeError("call begin() (or encode()) before snapshot()")
-        return self._build_grammar()
+        return self._build_grammar(terminal_map)
 
     # -- invariant inspection (used by tests) -----------------------------------------
     def check_digram_uniqueness(self) -> bool:
@@ -280,7 +301,7 @@ class SequiturEncoder:
         the reference Sequitur implementation, because replacing them
         with a rule would be ambiguous.
         """
-        occurrences: Dict[Tuple[Hashable, Hashable], List[Tuple[int, int]]] = {}
+        occurrences: Dict[Tuple[SymbolKey, SymbolKey], List[Tuple[int, int]]] = {}
         for rule in self._live_rules():
             symbol = rule.first()
             position = 0
@@ -307,34 +328,33 @@ class SequiturEncoder:
     def _live_rules(self) -> List[_SequiturRule]:
         assert self._start is not None
         live = [self._start]
-        live.extend(r for r in self._rules if r.number not in self._dead_rules and r.reference_count > 0)
+        live.extend(r for r in self._rules.values() if r.reference_count > 0)
         return live
 
     # -- conversion to the immutable Grammar -------------------------------------------
-    def _build_grammar(self) -> Grammar:
+    def _build_grammar(self, terminal_map: Optional[Mapping[int, int]] = None) -> Grammar:
         assert self._start is not None
-        # Assign dense ids in discovery (DFS preorder) order starting at the root.
+        # Assign dense ids in discovery (DFS preorder) order starting at the
+        # root.  A body's references all get their ids while that body is
+        # scanned, so each body is encoded in the same pass.
         id_of: Dict[int, int] = {self._start.number: 0}
-        ordered: List[_SequiturRule] = [self._start]
+        bodies: List[List[int]] = [[]]
         stack: List[_SequiturRule] = [self._start]
         while stack:
             rule = stack.pop()
-            symbol = rule.first()
+            body = bodies[id_of[rule.number]]
+            symbol = rule.guard.next
             while not symbol.is_guard:
-                if symbol.is_nonterminal and symbol.rule.number not in id_of:
-                    id_of[symbol.rule.number] = len(ordered)
-                    ordered.append(symbol.rule)
-                    stack.append(symbol.rule)
-                symbol = symbol.next
-        rules: List[Rule] = []
-        for dense_id, seq_rule in enumerate(ordered):
-            body: List[int] = []
-            symbol = seq_rule.first()
-            while not symbol.is_guard:
-                if symbol.is_nonterminal:
-                    body.append(make_rule_ref(id_of[symbol.rule.number]))
+                child = symbol.rule
+                if child is None:
+                    key = symbol.key
+                    body.append(terminal_map.get(key, key) if terminal_map else key)
                 else:
-                    body.append(int(symbol.terminal))
+                    dense_id = id_of.get(child.number)
+                    if dense_id is None:
+                        dense_id = id_of[child.number] = len(bodies)
+                        bodies.append([])
+                        stack.append(child)
+                    body.append(make_rule_ref(dense_id))
                 symbol = symbol.next
-            rules.append(Rule(rule_id=dense_id, symbols=body))
-        return Grammar(rules)
+        return Grammar([Rule(rule_id=dense_id, symbols=body) for dense_id, body in enumerate(bodies)])

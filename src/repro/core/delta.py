@@ -134,18 +134,17 @@ def _grammar_bottom_up(rule_bodies: List[List[int]]) -> List[int]:
 
 
 def compute_grammar_delta(
-    old_layout: DeviceRuleLayout, compressed
+    old_layout: DeviceRuleLayout, new_layout: DeviceRuleLayout
 ) -> Optional[GrammarDelta]:
-    """Diff ``old_layout`` against the corpus's current grammar.
+    """Diff ``old_layout`` against the new epoch's layout.
 
     Returns ``None`` when the old epoch did not survive as a stable
     prefix of the new one (any restructuring of old rules, a changed old
-    root segment, a removed file): the caller must rebuild.  The caller
-    holds the corpus lock.
+    root segment, a removed file): the caller must rebuild, and can keep
+    ``new_layout`` for it.
     """
     if old_layout.num_files == 0 or old_layout.num_rules == 0:
         return None
-    new_layout = DeviceRuleLayout.from_compressed(compressed)
     if new_layout.num_files < old_layout.num_files:
         return None
     old_root = old_layout.root_symbols

@@ -296,17 +296,19 @@ class DeviceSession:
                     return "rebuild"
                 from repro.core.delta import compute_grammar_delta
 
-                delta = compute_grammar_delta(self._layout, corpus)
+                new_layout = DeviceRuleLayout.from_compressed(corpus)
+                delta = compute_grammar_delta(self._layout, new_layout)
                 if delta is None or delta.changed_fraction > 0.5:
-                    self._rebuild_for(version)
+                    # The diff already built this epoch's layout: keep it.
+                    self._rebuild_for(version, layout=new_layout)
                     return "rebuild"
                 self._apply_delta(delta)
                 self._built_version = version
                 return "delta"
 
-    def _rebuild_for(self, version: int) -> None:
+    def _rebuild_for(self, version: int, layout: Optional[DeviceRuleLayout] = None) -> None:
         self.invalidate()
-        self._layout = None
+        self._layout = layout
         self._built_version = version
 
     def _apply_delta(self, delta) -> None:

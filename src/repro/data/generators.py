@@ -31,6 +31,7 @@ reports can print both.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -207,7 +208,8 @@ class SyntheticCorpusGenerator:
     def __init__(self, spec: DatasetSpec, seed: int = 2021) -> None:
         self.spec = spec
         self.seed = seed
-        self._rng = np.random.RandomState(seed + (hash(spec.key) % 1000))
+        # crc32, not hash(): str hashes are salted per process.
+        self._rng = np.random.RandomState(seed + zlib.crc32(spec.key.encode("utf-8")) % 1000)
         self._vocabulary = self._build_vocabulary()
         self._phrases = self._build_phrase_pool()
 

@@ -192,6 +192,28 @@ class TestGoldenBadExamples:
         assert len(findings) == 1
         assert "time.perf_counter()" in findings[0].message
 
+    def test_determinism_salted_hash_seed(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/data/synth.py": """
+                import numpy as np
+
+
+                class Synth:
+                    def __init__(self, key, seed):
+                        hash(key)  # hashability probe: no value escapes
+                        self.rng = np.random.RandomState(seed + hash(key) % 1000)
+
+                    def __hash__(self):
+                        return hash(self.rng)
+            """,
+        })
+        findings = run_lint(root, rules=["determinism"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.path == "repro/data/synth.py"
+        assert finding.line == 8
+        assert "hash()" in finding.message
+
     def test_epoch_guard_raw_put_on_serving_cache(self, tmp_path):
         root = _mini_repo(tmp_path, {
             "repro/serve/rogue.py": """

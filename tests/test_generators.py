@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.data.generators import (
     DATASET_SPECS,
@@ -51,6 +59,26 @@ class TestGeneration:
         first = generate_dataset("D", scale=0.1, seed=11)
         second = generate_dataset("D", scale=0.1, seed=11)
         assert first == second
+
+    def test_identical_across_processes(self):
+        # str hashes are salted per process: the RNG seed must not use one.
+        script = (
+            "import json; from repro.data.generators import generate_dataset; "
+            "print(json.dumps([[doc.num_tokens for doc in generate_dataset(key, scale=0.1)] "
+            "for key in 'DE']))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        counts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            ).stdout
+            counts.append(json.loads(out))
+        assert counts[0] == counts[1]
+        here = [[doc.num_tokens for doc in generate_dataset(key, scale=0.1)] for key in "DE"]
+        assert counts[0] == here
 
     def test_different_seeds_differ(self):
         first = generate_dataset("D", scale=0.1, seed=11)

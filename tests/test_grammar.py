@@ -121,6 +121,33 @@ class TestGrammar:
         with pytest.raises(ValueError):
             grammar.expansion_lengths()
 
+    def test_expansion_lengths_scan_each_rule_once(self, monkeypatch):
+        # A root body of ~50k references (a large corpus's root rule) over a
+        # chain of shared rules: ordering must list each body's children
+        # once, not once per DFS step.
+        num_shared = 200
+        rules = [Rule(0, [make_rule_ref(1 + i % num_shared) for i in range(50_000)])]
+        for rule_id in range(1, num_shared + 1):
+            body = [2 * rule_id, 2 * rule_id + 1]
+            if rule_id < num_shared:
+                body.append(make_rule_ref(rule_id + 1))
+            rules.append(Rule(rule_id, body))
+        grammar = Grammar(rules)
+        calls = {}
+        original = Rule.subrule_ids
+
+        def counting(rule):
+            calls[rule.rule_id] = calls.get(rule.rule_id, 0) + 1
+            # Fail on the first repeat: a quadratic order would run for minutes.
+            assert calls[rule.rule_id] == 1, f"rule {rule.rule_id} listed twice"
+            return original(rule)
+
+        monkeypatch.setattr(Rule, "subrule_ids", counting)
+        lengths = grammar.expansion_lengths()
+        assert len(calls) == len(grammar)
+        assert lengths[num_shared] == 2
+        assert lengths[1] == 2 * num_shared
+
     def test_equality(self):
         assert build_example_grammar() == build_example_grammar()
 

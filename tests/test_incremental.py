@@ -24,6 +24,7 @@ from repro.analytics.base import Task, results_equal
 from repro.api import Query, open_backend
 from repro.compression.compressor import CompressedCorpus, TadocCompressor
 from repro.core.engine import GTadoc
+from repro.core.layout import DeviceRuleLayout
 from repro.data.corpus import Corpus
 from repro.relational.spec import FieldSpec, RelationalQuery, RowSchema
 from repro.serve.replay import replay_trace, replay_trace_async, replay_trace_sharded
@@ -129,6 +130,35 @@ class TestCompressionFuzz:
         assert live.mutations_since(0) == ["append"]
 
 
+def _golden_epochs(seed: int):
+    """Fingerprints of every epoch of a fixed append -> replace -> remove run."""
+    rng = random.Random(seed)
+    streams = _seed_streams(rng, files=4)
+    live = _scratch(streams)
+    fingerprints = [live.fingerprint()[:16]]
+    live.append_files({"appended": _random_tokens(rng, _VOCAB, 30, 60)})
+    fingerprints.append(live.fingerprint()[:16])
+    live.replace_file("doc1", _random_tokens(rng, _VOCAB, 30, 60))
+    fingerprints.append(live.fingerprint()[:16])
+    live.remove_file("doc2")
+    fingerprints.append(live.fingerprint()[:16])
+    return fingerprints
+
+
+#: Per-epoch fingerprints (build, append, replace, remove) recorded from
+#: the reference compressor: every epoch's grammar stays bit-identical.
+GOLDEN_EPOCHS = {
+    11: ["95e2bb40ac25c3ea", "22f2775d7770e50b", "5d247053764392a3", "ae72b11e76a2973f"],
+    12: ["77223aa1a77b69a3", "a0c646857421bd9e", "0496c6662575a8e5", "2b7065cbef958022"],
+}
+
+
+class TestGoldenEpochs:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_EPOCHS))
+    def test_epoch_fingerprints_are_pinned(self, seed):
+        assert _golden_epochs(seed) == GOLDEN_EPOCHS[seed]
+
+
 # ----------------------------------------------------------------------------------------
 # Session layer: the delta path engages on fresh-vocabulary appends
 # ----------------------------------------------------------------------------------------
@@ -189,6 +219,35 @@ class TestSessionDelta:
             Task.WORD_COUNT,
             _engine_result(engine, Task.WORD_COUNT),
             reference.run(Query(task=Task.WORD_COUNT)).result,
+        )
+
+    def test_restructuring_append_builds_the_new_layout_once(self, monkeypatch):
+        rng = random.Random(7)
+        streams = _seed_streams(rng)
+        live = _scratch(streams)
+        engine = GTadoc(live)
+        engine.run_batch([Task.WORD_COUNT])
+
+        builds = []
+        original = DeviceRuleLayout.from_compressed.__func__
+
+        def counting(cls, compressed):
+            builds.append(compressed.version)
+            return original(cls, compressed)
+
+        monkeypatch.setattr(DeviceRuleLayout, "from_compressed", classmethod(counting))
+        # Shared-vocabulary content restructures old rules, so the delta
+        # diff fails after building the new epoch's layout.
+        tokens = list(streams["doc0"][:20]) + list(streams["doc1"][:20])
+        live.append_files({"shared": tokens})
+        streams["shared"] = tokens
+        assert engine.session.sync_with_corpus() == "rebuild"
+        result = _engine_result(engine, Task.WORD_COUNT)
+        assert builds == [live.version]
+
+        reference = open_backend("reference", _scratch(streams))
+        assert results_equal(
+            Task.WORD_COUNT, result, reference.run(Query(task=Task.WORD_COUNT)).result
         )
 
     def test_relational_anchor_on_new_vocabulary(self):

@@ -7,6 +7,10 @@ property-based testing over random token streams.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +133,77 @@ class TestInvariants:
             for symbol in rule.symbols:
                 if is_rule_ref(symbol):
                     assert 0 <= -symbol - 1 < len(grammar)
+
+
+# ----------------------------------------------------------------------------------------
+# Golden grammars: the encoder's exact output on seeded streams
+# ----------------------------------------------------------------------------------------
+
+
+def _grammar_digest(grammar) -> str:
+    payload = json.dumps([rule.symbols for rule in grammar], separators=(",", ":"))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+def _phrase_stream(seed: int, length: int, vocab: int):
+    """A phrase-heavy stream: repeated phrases nest into multi-level rules."""
+    rng = random.Random(seed)
+    phrases = [
+        [rng.randrange(vocab) for _ in range(rng.randint(2, 9))] for _ in range(40)
+    ]
+    stream = []
+    while len(stream) < length:
+        if rng.random() < 0.7:
+            stream.extend(rng.choice(phrases))
+        else:
+            stream.append(rng.randrange(vocab))
+    return stream[:length]
+
+
+def _runs_stream(seed: int, length: int):
+    """Runs of identical tokens: the overlapping-digram (triple) cases."""
+    rng = random.Random(seed)
+    stream = []
+    while len(stream) < length:
+        stream.extend([rng.randrange(3)] * rng.randint(1, 7))
+    return stream[:length]
+
+
+GOLDEN_STREAMS = {
+    "phrases-s1": _phrase_stream(1, 3000, 60),
+    "phrases-s2": _phrase_stream(2, 5000, 200),
+    "phrases-s3": _phrase_stream(3, 2000, 12),
+    "runs-s4": _runs_stream(4, 2000),
+    "periodic": [1, 2, 3, 1, 2, 3, 1, 2, 4] * 40 + [5] * 33,
+}
+
+#: ``stream name -> (digest of every rule body, rule count)``, recorded
+#: from the reference encoder.  Any change to the digram bookkeeping that
+#: alters a single rule shows up here as a changed digest.
+GOLDEN_GRAMMARS = {
+    "periodic": ("8813e208063029d3", 13),
+    "phrases-s1": ("36bf0a7396621f62", 100),
+    "phrases-s2": ("87362b44b39b6696", 148),
+    "phrases-s3": ("3c362ac33d922a14", 165),
+    "runs-s4": ("51da4402715ca03a", 105),
+}
+
+
+class TestGoldenGrammars:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAMMARS))
+    def test_encoder_output_is_pinned(self, name):
+        stream = GOLDEN_STREAMS[name]
+        _encoder, grammar = encode(stream)
+        assert grammar.expand_root() == stream
+        assert (_grammar_digest(grammar), len(grammar)) == GOLDEN_GRAMMARS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAMMARS))
+    def test_extend_in_chunks_matches_one_shot(self, name):
+        stream = GOLDEN_STREAMS[name]
+        encoder = SequiturEncoder().begin()
+        snapshots = []
+        for start in range(0, len(stream), 700):
+            encoder.extend(stream[start:start + 700])
+            snapshots.append(encoder.snapshot())
+        assert _grammar_digest(snapshots[-1]) == GOLDEN_GRAMMARS[name][0]
+        assert snapshots[0].expand_root() == stream[:700]
